@@ -314,15 +314,12 @@ def map_moebius(x: AlgebraicNumber, a: int, b: int, c: int, d: int) -> Algebraic
         while cur.lo <= pole <= cur.hi:
             cur = _bisect(cur)
 
-    def image_of(t: Fraction) -> Fraction:
-        return (a * t + b) / (c * t + d)
-
-    while True:
-        u, v = image_of(cur.lo), image_of(cur.hi)
-        ilo, ihi = (u, v) if u < v else (v, u)
-        try:
-            if sturm_count(newpoly, ilo, ihi) == 1:
-                return AlgebraicNumber(newpoly, ilo, ihi, cur.irreducible)
-        except EndpointRootError:
-            pass
-        cur = _bisect(cur)
+    # With the pole outside [lo, hi] the map is a bijection of (lo, hi) onto
+    # the image interval, and newpoly's roots are exactly the images of
+    # x.poly's, so the image isolates the mapped root.
+    u = (a * cur.lo + b) / (c * cur.lo + d)
+    v = (a * cur.hi + b) / (c * cur.hi + d)
+    ilo, ihi = (u, v) if u < v else (v, u)
+    if newpoly.sign_at(ilo) * newpoly.sign_at(ihi) >= 0:
+        raise EngineInvariantError("mapped polynomial has no sign change on the image interval")
+    return AlgebraicNumber(newpoly, ilo, ihi, cur.irreducible)

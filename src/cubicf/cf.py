@@ -3,8 +3,11 @@
 Step n extracts a_n = floor(alpha_n) exactly, carries the tail's minimal
 polynomial forward with the substitution x -> a_n + 1/x (a unimodular
 coefficient transform), and transports the isolating interval through
-t -> 1/(t - a_n), re-certifying isolation with a Sturm count.  Convergents
-follow the usual three-term recurrence with p_0 = 1, q_0 = 0.
+t -> 1/(t - a_n).  That map is one-to-one and carries the old
+polynomial's roots onto the new one's, so the transported interval
+isolates the tail without re-certification; a two-point sign check guards
+the invariant.  Convergents follow the usual three-term recurrence with
+p_0 = 1, q_0 = 0.
 
 Two independent derivations of each tail polynomial are available: the
 local carry above, and a direct recomputation from the origin polynomial
@@ -18,13 +21,8 @@ from fractions import Fraction
 
 from . import intervals as iv
 from .algnum import AlgebraicNumber, _bisect, floor_with_refined, refine, same_root
-from .errors import (
-    CrossCheckError,
-    EndpointRootError,
-    EngineInvariantError,
-    ReducibleInputError,
-)
-from .poly import IntPoly, Unimodular2x2, moebius_transform, sturm_count, unimodular_transform
+from .errors import CrossCheckError, EngineInvariantError, ReducibleInputError
+from .poly import IntPoly, Unimodular2x2, moebius_transform, unimodular_transform
 
 SOFT_DEPTH_CAP = 10_000
 
@@ -112,17 +110,15 @@ def expand(x: AlgebraicNumber, depth: int, crosscheck_every: int | None = None) 
         tail_poly = moebius_transform(cur.poly, a, 1, 1, 0)
         if tail_poly.degree() != m:
             raise EngineInvariantError("tail polynomial degree dropped")
-        while True:
-            tail_lo = 1 / (cur.hi - a)
-            tail_hi = 1 / (cur.lo - a)
-            try:
-                if sturm_count(tail_poly, tail_lo, tail_hi) == 1:
-                    break
-            except EndpointRootError:
-                pass
-            cur = _bisect(cur)
+        # t -> 1/(t - a) maps (lo, hi) one-to-one onto the transported
+        # interval and cur.poly's roots onto tail_poly's, so the image
+        # isolates the tail (NOTES.md, interval transport).
+        tail_lo = 1 / (cur.hi - a)
+        tail_hi = 1 / (cur.lo - a)
         if tail_lo <= 1:
             raise EngineInvariantError("tail interval must lie in (1, oo)")
+        if tail_poly.sign_at(tail_lo) * tail_poly.sign_at(tail_hi) >= 0:
+            raise EngineInvariantError("tail polynomial has no sign change on the tail interval")
 
         p = a * p_prev + p_prev2
         q = a * q_prev + q_prev2

@@ -167,14 +167,13 @@ class RunConfig:
             depth = int(env) if env else DEFAULT_DEPTH
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        precision = args.precision
-        if precision is None:
-            env = os.environ.get("CUBICF_PRECISION")
-            precision = parse_rational(env) if env else DEFAULT_PRECISION
-        else:
-            precision = parse_rational(precision)
-        if precision <= 0:
-            raise ValueError("precision must be positive")
+        precision = DEFAULT_PRECISION
+        if hasattr(args, "precision"):  # stats has no --precision
+            text = args.precision if args.precision is not None else os.environ.get("CUBICF_PRECISION")
+            if text:
+                precision = parse_rational(text)
+            if precision <= 0:
+                raise ValueError("precision must be positive")
         fmt = args.format or os.environ.get("CUBICF_FORMAT") or DEFAULT_FORMAT
         if fmt not in ("text", "json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
@@ -439,12 +438,12 @@ def _parse_relate(text: str) -> FracLinearRep:
 def cmd_stats(args) -> int:
     cfg = RunConfig.from_args(args)
     polys = args.poly
-    roots = args.root or []
-    numbers = []
-    for i, ptext in enumerate(polys):
-        f = parse_poly(ptext)
-        index = roots[i] if i < len(roots) else 1
-        numbers.append((ptext, make_algebraic(f, index=index)))
+    roots = args.root or [1] * len(polys)
+    if len(roots) != len(polys):
+        raise RootSelectionError(
+            f"give one --root per --poly or none: {len(roots)} --root for {len(polys)} --poly"
+        )
+    numbers = [(ptext, make_algebraic(parse_poly(ptext), index=k)) for ptext, k in zip(polys, roots)]
     expansions = [expand(x, cfg.depth) for _, x in numbers]
     profiles = [boundedness_profile(e) for e in expansions]
     lambdas = [lambda_estimate(e) for e in expansions]
@@ -570,9 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stats", help="partial-quotient statistics and transfer checks")
     sp.add_argument("--poly", action="append", required=True)
-    sp.add_argument("--root", action="append", type=int)
+    sp.add_argument("--root", action="append", type=int, help="one per --poly, or none for root 1")
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--precision", default=None)
     sp.add_argument("--format", choices=("text", "json", "csv"), default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--relate", default=None, help="a,b,c,d with second = (a*first+b)/(c*first+d)")

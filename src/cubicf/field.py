@@ -180,6 +180,10 @@ def as_algebraic(beta: AlgebraicNumber, elem: FieldElement) -> AlgebraicNumber:
         (elem.a1, elem.a1),
         (elem.a2, elem.a2),
     ]
+    # Unlike the one-to-one transports in cf.expand and map_moebius, this
+    # enclosure comes from interval evaluation of a quadratic, which can be
+    # wide enough to hold other roots of charpoly, so it is certified with
+    # a Sturm count and refined until it isolates.
     while True:
         t = cur.interval
         value = iv.add(coeff_ivs[0], iv.add(iv.mul(coeff_ivs[1], t), iv.mul(coeff_ivs[2], iv.mul(t, t))))
@@ -248,9 +252,10 @@ def tails_match(e1: Expansion, e2: Expansion, window: int) -> TailMatch:
 class TransferReport:
     """Finite-depth check of lambda(y) <= |det| * lambda(x) and its mirror.
 
-    The estimates are running minima, hence upper bounds of the true
-    liminf constants; a finite-depth violation is only suggestive and is
-    reported, never raised.
+    Each estimate is lambda_estimate's minimum over the trailing half of
+    the expanded steps, hence an upper bound of the true liminf constant;
+    a finite-depth violation is only suggestive and is reported, never
+    raised.
     """
 
     det: int

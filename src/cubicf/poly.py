@@ -264,17 +264,23 @@ def moebius_transform(f: IntPoly, a: int, b: int, c: int, d: int) -> IntPoly:
     m = f.degree()
     if m < 1:
         raise DegreeError("substitution needs degree >= 1")
-    num = IntPoly((b, a))
-    den = IntPoly((d, c))
-    den_pow = [IntPoly.const(1)]
-    for _ in range(m):
-        den_pow.append(den_pow[-1] * den)
-    acc = IntPoly.const(f.coeffs[m])
+    fc = f.coeffs
+    # Horner on plain lists: acc <- acc*(ax+b) + f_i*(cx+d)^(m-i), where
+    # den holds (cx+d)^(m-i); both have m-i+1 coefficients after each pass.
+    acc = [fc[m]]
+    den = [1]
     for i in range(m - 1, -1, -1):
-        acc = acc * num + f.coeffs[i] * den_pow[m - i]
-    if acc.degree() != m:
+        acc = [b * acc[0], *(b * acc[j] + a * acc[j - 1] for j in range(1, len(acc))), a * acc[-1]]
+        den = [d * den[0], *(d * den[j] + c * den[j - 1] for j in range(1, len(den))), c * den[-1]]
+        fi = fc[i]
+        if fi:
+            acc = [u + fi * v for u, v in zip(acc, den)]
+    if acc[m] == 0:
         raise DegreeDropError("degree dropped: polynomial has a root at the pole")
-    return content_primitive(acc)[1]
+    g = gcd(*acc)
+    if acc[m] < 0:
+        g = -g
+    return IntPoly(tuple(u // g for u in acc))
 
 
 def unimodular_transform(f: IntPoly, gamma: Unimodular2x2) -> IntPoly:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 import oracles
 from conftest import random_cubic_number
@@ -20,7 +21,7 @@ from cubicf.errors import (
     ReducibleInputError,
     RootSelectionError,
 )
-from cubicf.poly import IntPoly, sturm_count
+from cubicf.poly import IntPoly, sturm_chain, sturm_count
 
 X3M2 = IntPoly((-2, 0, 0, 1))
 C7 = IntPoly((-1, -2, 1, 1))
@@ -250,3 +251,21 @@ class TestSameRootAndMaps:
         y = map_moebius(cbrt2, 1, 0, 0, 1)
         assert y.poly == cbrt2.poly
         assert same_root(y, cbrt2)
+
+    def test_map_moebius_random_matrices(self):
+        # the image interval isolates without a Sturm chain being built
+        rng = random.Random(20261017)
+        for _ in range(25):
+            x = random_cubic_number(rng)
+            a, b, c, d = 0, 0, 0, 0
+            while a * d - b * c == 0:
+                a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+            sturm_chain.cache_clear()
+            y = map_moebius(x, a, b, c, d)
+            assert sturm_chain.cache_info().misses == 0
+            assert sturm_count(y.poly, y.lo, y.hi) == 1
+            with mp.workdps(60):
+                lo, hi = (mpf(r.numerator) / r.denominator for r in (x.lo, x.hi))
+                t = next(r for r in oracles.real_roots(x.poly.coeffs) if lo < r < hi)
+                image = (a * t + b) / (c * t + d)
+                assert mpf(y.lo.numerator) / y.lo.denominator < image < mpf(y.hi.numerator) / y.hi.denominator

@@ -15,10 +15,20 @@ from cubicf.cf import (
     tail_poly_direct,
 )
 from cubicf.errors import CrossCheckError, ReducibleInputError
-from cubicf.poly import IntPoly, discriminant
+from cubicf.poly import IntPoly, discriminant, sturm_chain, sturm_count
 
 X3M2 = IntPoly((-2, 0, 0, 1))
 C7 = IntPoly((-1, -2, 1, 1))
+
+
+def _engine_inputs():
+    """cbrt2, C7, a seeded random cubic and a squarefree reducible quartic."""
+    return [
+        ("cbrt2", make_algebraic(X3M2, index=1)),
+        ("C7", make_algebraic(C7, index=3)),
+        ("random cubic", random_cubic_number(random.Random(20261017))),
+        ("sqrt2 via (x^2-2)(x^2-3)", make_algebraic(IntPoly((6, 0, -5, 0, 1)), index=3)),
+    ]
 
 
 class TestExpand:
@@ -54,12 +64,19 @@ class TestExpand:
         with pytest.warns(UserWarning, match="soft cap"):
             expand(cbrt2, 6)
 
-    def test_interval_isolation_survives_every_step(self, cos27_largest):
-        from cubicf.poly import sturm_count
+    def test_interval_isolation_survives_every_step(self):
+        # the engine no longer counts roots; the transported interval must
+        # still isolate exactly one root of every tail polynomial
+        for name, x in _engine_inputs():
+            e = expand(x, 200)
+            for s in e.steps:
+                assert sturm_count(s.tail_poly, s.tail_lo, s.tail_hi) == 1, (name, s.n)
 
-        e = expand(cos27_largest, 25)
-        for s in e.steps:
-            assert sturm_count(s.tail_poly, s.tail_lo, s.tail_hi) == 1
+    def test_engine_builds_no_sturm_chain(self):
+        for name, x in _engine_inputs():
+            sturm_chain.cache_clear()
+            expand(x, 300)
+            assert sturm_chain.cache_info().misses == 0, name
 
     def test_determinant_identity(self, cbrt2):
         e = expand(cbrt2, 40)

@@ -241,6 +241,37 @@ class TestStatsCommand:
         assert len(doc["inputs"]) == 1
         assert "tails_match" not in doc
 
+    def test_relate_without_roots(self, capsys):
+        # zero --root flags select root 1 of every input
+        rc = main(
+            ["stats", "--poly", "x^3-2", "--poly", "x^3-4", "--relate", "0,2,1,0",
+             "--depth", "25", "--format", "json"]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["inputs"]) == 2
+        assert doc["lambda_transfer"]["relation_verified"] is True
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--poly", "x^3-2", "--root", "1", "--root", "1", "--root", "2"],
+            ["--poly", "x^3-2", "--poly", "x^3-4", "--root", "1"],
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_root_count_mismatch_exit_3(self, capsys, selection):
+        rc = main(["stats", *selection, "--depth", "15"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--root" in captured.err
+
+    def test_precision_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--poly", "x^3-2", "--precision", "1e-20"])
+        assert exc.value.code == 2
+
     def test_text_mode(self, capsys):
         rc = main(["stats", "--poly", "x^2-x-1", "--root", "2", "--depth", "20"])
         assert rc == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cubicf.errors import DegreeError, EndpointRootError, ZeroPolynomialError
+from cubicf.errors import DegreeDropError, DegreeError, EndpointRootError, ZeroPolynomialError
 from cubicf.poly import (
     IntPoly,
     Unimodular2x2,
@@ -93,6 +93,47 @@ class TestTransform:
     def test_disc_preserved_on_example(self):
         g = Unimodular2x2(2, 1, 1, 1)
         assert discriminant(unimodular_transform(C7, g)) == 49
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            moebius_transform(X3M2, 2, 4, 1, 2)
+
+    def test_root_at_pole_drops_degree(self):
+        # x^3 - 8 vanishes at 2 = a/c, the image of x = oo under (2x+1)/x
+        with pytest.raises(DegreeDropError):
+            moebius_transform(IntPoly((-8, 0, 0, 1)), 2, 1, 1, 0)
+
+    def test_matches_naive_expansion(self):
+        rng = random.Random(20261017)
+        checked = {"unimodular": 0, "wide": 0}
+        while min(checked.values()) < 150:
+            m = rng.randint(1, 5)
+            f = IntPoly(tuple(rng.randint(-30, 30) for _ in range(m)) + (rng.choice((-1, 1)) * rng.randint(1, 30),))
+            a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
+            det = a * d - b * c
+            if det == 0:
+                continue
+            want = _naive_moebius(f, a, b, c, d)
+            if want.degree() < m:
+                with pytest.raises(DegreeDropError):
+                    moebius_transform(f, a, b, c, d)
+                continue
+            assert moebius_transform(f, a, b, c, d) == content_primitive(want)[1], (f, a, b, c, d)
+            checked["unimodular" if abs(det) == 1 else "wide"] += 1
+
+
+def _naive_moebius(f: IntPoly, a: int, b: int, c: int, d: int) -> IntPoly:
+    """sum_i f_i (ax+b)^i (cx+d)^(m-i), expanded term by term."""
+    m = f.degree()
+    total = IntPoly(())
+    for i, fi in enumerate(f.coeffs):
+        term = IntPoly.const(fi)
+        for _ in range(i):
+            term = term * IntPoly((b, a))
+        for _ in range(m - i):
+            term = term * IntPoly((d, c))
+        total = total + term
+    return total
 
 
 def _poly_strategy():
