@@ -44,7 +44,7 @@ from .field import (
 from .poly import IntPoly, rational_roots
 
 DEFAULT_DEPTH = 30
-DEFAULT_PRECISION = Fraction(1, 10**15)
+DEFAULT_PRECISION = Fraction(1, 10**12)
 DEFAULT_FORMAT = "text"
 
 
@@ -168,7 +168,7 @@ class RunConfig:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         precision = DEFAULT_PRECISION
-        if hasattr(args, "precision"):  # stats has no --precision
+        if hasattr(args, "precision"):  # only verify takes --precision
             text = args.precision if args.precision is not None else os.environ.get("CUBICF_PRECISION")
             if text:
                 precision = parse_rational(text)
@@ -374,8 +374,7 @@ def cmd_verify(args) -> int:
     if x.degree != 3:
         raise CubicRequiredError("verify is specific to cubic inputs")
     e = expand(x, cfg.depth, cfg.crosscheck_every)
-    rel = max(cfg.precision, Fraction(1, 10**12))
-    rep = verification_report(e, rel)
+    rep = verification_report(e, cfg.precision)
     if cfg.fmt == "json":
         _emit(
             json.dumps(_expansion_doc(e, args.poly, root_desc, _report_json(rep)), indent=2),
@@ -538,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, root_group=True):
         sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--precision", default=None)
         sp.add_argument("--format", choices=("text", "json", "csv"), default=None)
         sp.add_argument("--out", default=None)
         if root_group:
@@ -555,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the exact and limit-law verification bundle")
     sp.add_argument("--poly", required=True)
     common(sp)
+    sp.add_argument("--precision", default=None)
     sp.add_argument("--crosscheck-every", type=int, default=None, dest="crosscheck_every")
     sp.set_defaults(func=cmd_verify)
 

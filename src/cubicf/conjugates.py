@@ -136,18 +136,19 @@ def reduced_flags(e: Expansion) -> list[bool]:
     return flags
 
 
+def _onset(flags: list[bool]) -> int | None:
+    if not flags[-1]:
+        return None
+    n0 = len(flags)  # 1-based index of the first flag of the trailing reduced run
+    while n0 > 1 and flags[n0 - 2]:
+        n0 -= 1
+    return n0
+
+
 def reducedness_onset(e: Expansion) -> int | None:
     """Least n0 with alpha_n reduced for every n0 <= n <= depth+1, or None
     if the expansion never stabilises reduced within its depth."""
-    flags = reduced_flags(e)
-    if not flags[-1]:
-        return None
-    n0 = len(flags)  # 1-based index of last flag
-    for k in range(len(flags) - 1, -1, -1):
-        if not flags[k]:
-            break
-        n0 = k + 1
-    return n0
+    return _onset(reduced_flags(e))
 
 
 def separation(x: AlgebraicNumber, rel_precision: Fraction = Fraction(1, 10**9)) -> iv.Interval:
@@ -284,9 +285,13 @@ def disc_product_enclosure(
     x: AlgebraicNumber, lc_abs: int, precision: Fraction = Fraction(1, 10**9)
 ) -> iv.Interval:
     """Enclosure of C^2 |(x-s1)(x-s2)(s1-s2)| built from conjugate boxes
-    only; equals sqrt|D| exactly, which the tests assert by overlap."""
+    only; equals sqrt|D| exactly, which the tests assert by overlap.
+
+    The conjugate gap shrinks like 1/C^2 (NOTES.md), so the boxes start
+    that much narrower than the tolerance; an enclosure still too wide
+    is rebuilt from boxes four times narrower."""
     _require_cubic(x)
-    prec = Fraction(precision)
+    prec = Fraction(precision) / (1024 * lc_abs**2)
     while True:
         pair = conjugates(x, prec)
         t = refine(x, prec).interval
@@ -313,24 +318,18 @@ class PisotRecord:
     pisot: bool  # |C_n| = 1 together with a reduced tail
 
 
+def _pisot_records(e: Expansion, flags: list[bool]) -> list[PisotRecord]:
+    return [  # flags[s.n] is the flag of alpha_{n+1}
+        PisotRecord(s.n, s.c_signed, flags[s.n], abs(s.c_signed) == 1 and flags[s.n])
+        for s in e.steps
+    ]
+
+
 def pisot_scan(e: Expansion) -> list[PisotRecord]:
     """Flag steps whose tail is a unit-leading-coefficient reduced number:
     such tails are algebraic integers > 1 with conjugates in the open unit
     disk.  Hits are expected to be extremely rare."""
-    _require_cubic(e.origin)
-    flags = reduced_flags(e)
-    out = []
-    for step in e.steps:
-        reduced = flags[step.n]  # flag of alpha_{n+1}
-        out.append(
-            PisotRecord(
-                n=step.n,
-                c_signed=step.c_signed,
-                reduced=reduced,
-                pisot=abs(step.c_signed) == 1 and reduced,
-            )
-        )
-    return out
+    return _pisot_records(e, reduced_flags(e))
 
 
 def is_pisot(x: AlgebraicNumber) -> bool:
@@ -395,16 +394,11 @@ def verification_report(
     flags = reduced_flags(e)
     # once reduced, stays reduced: no True -> False transition
     monotone = not any(flags[k] and not flags[k + 1] for k in range(len(flags) - 1))
-    onset = reducedness_onset(e)
-
     sqrt_d = iv.sqrt_bounds(Fraction(abs(d0)), 96)
-    product_ok = True
-    for step in e.steps:
-        enc = disc_product_enclosure(e.tail(step.n), abs(step.c_signed), Fraction(1, 10**6))
-        if not iv.overlaps(enc, sqrt_d):
-            product_ok = False
-            break
-
+    product_ok = all(
+        iv.overlaps(disc_product_enclosure(e.tail(s.n), abs(s.c_signed), Fraction(1, 10**6)), sqrt_d)
+        for s in e.steps
+    )
     return VerificationReport(
         discriminant=d0,
         discriminant_constant=disc_ok,
@@ -412,11 +406,11 @@ def verification_report(
         lead_coeff_ok=lead_ok,
         crosscheck_steps=e.checkpoints,
         reduced=tuple(flags),
-        onset=onset,
+        onset=_onset(flags),
         monotone_reduced=monotone,
         limit=tuple(limit_sequence(e, rel_precision)),
         asym=tuple(asym_sequence(e, rel_precision)),
-        pisot=tuple(pisot_scan(e)),
+        pisot=tuple(_pisot_records(e, flags)),
         lambda_enclosure=lambda_estimate(e) if e.depth >= 5 else None,
         disc_product_ok=product_ok,
     )

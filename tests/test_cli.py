@@ -138,6 +138,12 @@ class TestExpandCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 3
 
+    def test_precision_flag_removed(self, capsys):
+        # only verify reads a tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--poly", "x^3-2", "--depth", "4", "--precision", "1e-9"])
+        assert exc.value.code == 2
+
 
 class TestVerifyCommand:
     def test_cbrt2_text(self, capsys):
@@ -166,6 +172,15 @@ class TestVerifyCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][:4] == ["n", "a", "disc", "reduced"]
         assert all(r[2] == "-108" for r in rows[1:])
+
+    def test_precision_honoured_below_default(self, capsys):
+        rc = main(["verify", "--poly", "x^3-2", "--depth", "8", "--precision", "1e-20", "--format", "json"])
+        assert rc == 0
+        limit = json.loads(capsys.readouterr().out)["reports"]["limit"]
+        assert len(limit) == 8
+        for rec in limit:
+            lo, hi = (Fraction(v) for v in rec["value"])
+            assert hi - lo <= lo * Fraction(1, 10**20), rec["n"]
 
     def test_non_cubic_exit_4(self, capsys):
         assert main(["verify", "--poly", "x^2-2", "--root", "2", "--depth", "8"]) == 4

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -298,3 +299,25 @@ class TestReport:
         rep = verification_report(bad, Fraction(1, 10**4))
         assert not rep.lead_coeff_ok
         assert not rep.exact_ok
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("fixture", ["cbrt2", "cos27_largest"])
+    def test_report_decides_each_tail_once(self, fixture, request, monkeypatch):
+        # the cubicf package rebinds the name `conjugates` to the function,
+        # so patch the module object itself
+        mod = importlib.import_module("cubicf.conjugates")
+        calls = {"is_reduced": 0, "conjugates": 0}
+        for name in calls:
+            real = getattr(mod, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        e = expand(request.getfixturevalue(fixture), 40)
+        rep = mod.verification_report(e, Fraction(1, 10**6))
+        assert rep.exact_ok
+        assert calls["is_reduced"] == e.depth + 1  # one verdict per alpha_1 .. alpha_41
+        assert calls["conjugates"] <= 120  # about one per step, not one per restart
