@@ -22,13 +22,15 @@ from .errors import (
     NotSquarefreeError,
     ReducibleInputError,
     RootSelectionError,
-    ZeroPolynomialError,
 )
 from .poly import (
     IntPoly,
+    _halve,
+    _halvings,
     content_primitive,
     divide_out_rational_root,
     is_squarefree,
+    isolate_real_roots,
     moebius_transform,
     qq_gcd,
     rational_roots,
@@ -65,77 +67,18 @@ class AlgebraicNumber:
 
 
 def _bisect(x: AlgebraicNumber, steps: int = 1) -> AlgebraicNumber:
-    f = x.poly
-    lo, hi = x.lo, x.hi
-    s_lo = f.sign_at(lo)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        s = f.sign_at(mid)
-        if s == 0:
-            raise EngineInvariantError("bisection midpoint is a root")
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _halve(x.poly, x.lo, x.hi, steps)
+    if lo == hi:
+        raise EngineInvariantError("bisection midpoint is a root")
     return replace(x, lo=lo, hi=hi)
 
 
 def refine(x: AlgebraicNumber, width_bound: Fraction) -> AlgebraicNumber:
     """Same root, interval width <= width_bound."""
-    width_bound = Fraction(width_bound)
-    f = x.poly
-    lo, hi = x.lo, x.hi
-    if hi - lo <= width_bound:
+    steps = _halvings((x.hi - x.lo) / Fraction(width_bound))
+    if steps == 0:
         return x
-    s_lo = f.sign_at(lo)
-    while hi - lo > width_bound:
-        mid = (lo + hi) / 2
-        s = f.sign_at(mid)
-        if s == 0:
-            raise EngineInvariantError("bisection midpoint is a root")
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return replace(x, lo=lo, hi=hi)
-
-
-def isolate_real_roots(f: IntPoly) -> list[iv.Interval]:
-    """Disjoint rational isolating intervals for all real roots, ascending.
-
-    f must be squarefree.  Endpoints are never roots.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    _, g = content_primitive(f)
-    if g.degree() == 0:
-        return []
-    bound = 1 + max(abs(c) for c in g.coeffs) // abs(g.lc) + 1
-    out: list[iv.Interval] = []
-
-    def split_point(lo: Fraction, hi: Fraction) -> Fraction:
-        k = 2
-        while True:  # at most deg(g) candidates can be roots
-            probe = lo + (hi - lo) / k
-            if g.sign_at(probe) != 0:
-                return probe
-            k += 1
-
-    lo0, hi0 = Fraction(-bound), Fraction(bound)
-    work = [(lo0, hi0, sturm_count(g, lo0, hi0))]
-    while work:
-        lo, hi, n = work.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((lo, hi))
-            continue
-        mid = split_point(lo, hi)
-        left = sturm_count(g, lo, mid)
-        # right pushed first so the worklist yields ascending intervals
-        work.append((mid, hi, n - left))
-        work.append((lo, mid, left))
-    return out
+    return _bisect(x, steps)
 
 
 def make_algebraic(

@@ -41,7 +41,7 @@ from .field import (
     lambda_transfer_check,
     tails_match,
 )
-from .poly import IntPoly, rational_roots
+from .poly import IntPoly
 
 DEFAULT_DEPTH = 30
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -391,9 +391,9 @@ def cmd_express(args) -> int:
     f = parse_poly(args.poly)
     if f.degree() != 3:
         raise CubicRequiredError("express needs a cubic field generator")
-    if rational_roots(f):
-        raise ReducibleInputError("generator polynomial is reducible")
     beta = make_algebraic(f, index=1)
+    if beta.degree < 3:  # a rational root was divided out of f
+        raise ReducibleInputError("generator polynomial is reducible")
     elem = FieldElement.of(
         parse_rational(args.a0), parse_rational(args.a1), parse_rational(args.a2)
     )

@@ -7,9 +7,11 @@ makes equality and discriminant comparisons plain ``==`` checks.
 
 The module provides evaluation, content/primitive-part splitting,
 resultants and discriminants (fraction-free Bareiss elimination on the
-Sylvester matrix), Sturm chains with exact sign-variation counts, the
-rational-root test, and fractional-linear coefficient substitutions
-f(x) -> (cx+d)^deg(f) * f((ax+b)/(cx+d)).
+Sylvester matrix), Sturm chains with exact sign-variation counts and real
+root isolation, the rational-root test in time polynomial in the
+coefficients' bit size (bisection to width 1/(2·lc), then one exact
+candidate per real root; no divisor enumeration), and fractional-linear
+coefficient substitutions f(x) -> (cx+d)^deg(f) * f((ax+b)/(cx+d)).
 """
 from __future__ import annotations
 
@@ -380,50 +382,132 @@ def sturm_count(f: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def isolate_real_roots(f: IntPoly) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint rational isolating intervals for all real roots, ascending.
 
-
-def rational_roots(f: IntPoly) -> list[Fraction]:
-    """All rational roots, via the divisor test on the primitive part."""
+    f must be squarefree.  Endpoints are never roots.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     _, g = content_primitive(f)
-    roots = set()
-    while g.degree() >= 1 and g.coeffs[0] == 0:
-        roots.add(Fraction(0))
-        g = IntPoly(g.coeffs[1:])
-    if g.degree() >= 1:
-        for p in _divisors(g.coeffs[0]):
-            for q in _divisors(g.lc):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and g.sign_at(cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    if g.degree() == 0:
+        return []
+    bound = 1 + max(abs(c) for c in g.coeffs) // abs(g.lc) + 1
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def split_point(lo: Fraction, hi: Fraction) -> Fraction:
+        k = 2
+        while True:  # at most deg(g) candidates can be roots
+            probe = lo + (hi - lo) / k
+            if g.sign_at(probe) != 0:
+                return probe
+            k += 1
+
+    lo0, hi0 = Fraction(-bound), Fraction(bound)
+    work = [(lo0, hi0, sturm_count(g, lo0, hi0))]
+    while work:
+        lo, hi, n = work.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((lo, hi))
+            continue
+        mid = split_point(lo, hi)
+        left = sturm_count(g, lo, mid)
+        # right pushed first so the worklist yields ascending intervals
+        work.append((mid, hi, n - left))
+        work.append((lo, mid, left))
+    return out
+
+
+def _halvings(ratio: Fraction) -> int:
+    """Fewest halvings k with ratio / 2**k <= 1 (ratio > 0)."""
+    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+
+
+def _halve(f: IntPoly, lo: Fraction, hi: Fraction, steps: int) -> tuple[Fraction, Fraction]:
+    """Bisect (lo, hi) ``steps`` times, keeping the half where f changes sign.
+
+    The endpoints run as integer numerators over one shared denominator
+    and each midpoint's sign comes straight from ``eval_cleared``, so no
+    midpoint is normalised; the endpoints returned are the same rationals
+    plain ``Fraction`` bisection reaches.  A midpoint where f vanishes
+    stops the loop and comes back as ``(mid, mid)``.
+    """
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    s_lo = _sign(f.eval_cleared(lo.numerator, lo.denominator))
+    moved_lo = moved_hi = False
+    for _ in range(steps):
+        mid = a + b
+        den *= 2
+        s = _sign(f.eval_cleared(mid, den))
+        if s == 0:
+            root = Fraction(mid, den)
+            return root, root
+        if s == s_lo:
+            a, b = mid, 2 * b
+            moved_lo = True
+        else:
+            a, b = 2 * a, mid
+            moved_hi = True
+    # an endpoint that never moved is returned as the object passed in
+    return (Fraction(a, den) if moved_lo else lo), (Fraction(b, den) if moved_hi else hi)
+
+
+def _exact_quotient(f: IntPoly, g: IntPoly) -> IntPoly:
+    """f / g for primitive g; ValueError unless g divides f.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    divisor has integer coefficients, so the long division stays in Z.
+    """
+    r = list(f.coeffs)
+    n = g.degree()
+    quot = [0] * (len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        c, rem = divmod(r[i], g.lc)
+        if rem:
+            raise ValueError(f"{g} does not divide {f}")
+        quot[i - n] = c
+        for k, gk in enumerate(g.coeffs):
+            r[i - n + k] -= c * gk
+    if any(r[:n]):
+        raise ValueError(f"{g} does not divide {f}")
+    return IntPoly(tuple(quot))
+
+
+def rational_roots(f: IntPoly) -> list[Fraction]:
+    """All rational roots, ascending, in time polynomial in the bit size.
+
+    A root p/q of the squarefree primitive part g has q | lc(g), so it is
+    k/lc(g) for an integer k.  Each isolating interval of g is bisected to
+    width <= 1/(2·lc(g)), after which it holds at most one such point; that
+    one candidate is tested exactly (NOTES.md, rational roots).
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("zero polynomial")
+    _, g = content_primitive(f)
+    if g.degree() < 1:
+        return []
+    common = sturm_chain(g)[-1]  # a constant multiple of gcd(g, g')
+    if common.degree() >= 1:
+        g = _exact_quotient(g, content_primitive(common)[1])
+    lc = g.lc
+    roots = []
+    for lo, hi in isolate_real_roots(g):
+        lo, hi = _halve(g, lo, hi, _halvings((hi - lo) * 2 * lc))
+        if lo == hi:  # a midpoint was the root
+            roots.append(lo)
+            continue
+        k = lo.numerator * lc // lo.denominator + 1  # least k with k/lc > lo
+        if k * hi.denominator < hi.numerator * lc and g.eval_cleared(k, lc) == 0:
+            roots.append(Fraction(k, lc))
+    return roots
 
 
 def divide_out_rational_root(f: IntPoly, r: Fraction) -> IntPoly:
-    """Exact quotient of f by (q·x - p) for a known rational root r = p/q."""
+    """Primitive part of the exact quotient of f by (q·x - p), for a rational root r = p/q."""
     if f.degree() < 1:
         raise DegreeError("nothing to divide out")
-    p, q = r.numerator, r.denominator
-    rem = [Fraction(c) for c in f.coeffs]
-    quot = [Fraction(0)] * (len(rem) - 1)
-    for i in range(len(rem) - 1, 0, -1):
-        coef = rem[i] / q
-        quot[i - 1] = coef
-        rem[i - 1] += coef * p
-    if rem[0] != 0:
-        raise ValueError(f"{r} is not a root")
-    scale = lcm(*(c.denominator for c in quot))
-    cleared = IntPoly(tuple(int(c * scale) for c in quot))
-    return content_primitive(cleared)[1]
+    return content_primitive(_exact_quotient(f, IntPoly((-r.numerator, r.denominator))))[1]

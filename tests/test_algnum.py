@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 import oracles
 from conftest import random_cubic_number
 from cubicf.algnum import (
+    _bisect,
     approximate,
     floor_of,
     isolate_real_roots,
@@ -21,6 +22,7 @@ from cubicf.errors import (
     ReducibleInputError,
     RootSelectionError,
 )
+from cubicf.cf import expand
 from cubicf.poly import IntPoly, sturm_chain, sturm_count
 
 X3M2 = IntPoly((-2, 0, 0, 1))
@@ -93,6 +95,61 @@ class TestRefine:
         y = refine(cbrt2, Fraction(1, 10**6))
         assert sturm_count(y.poly, y.lo, y.hi) == 1
         assert same_root(cbrt2, y)
+
+
+def _reference_halving(x, done):
+    """Plain Fraction bisection of x's interval, until done(lo, hi, steps)."""
+    f, lo, hi, steps = x.poly, x.lo, x.hi, 0
+    s_lo = f.sign_at(lo)
+    while not done(lo, hi, steps):
+        mid = (lo + hi) / 2
+        s = f.sign_at(mid)
+        assert s != 0
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi
+
+
+def _bisection_inputs():
+    """Origin roots (dyadic and not) and expansion tails, whose endpoints
+    are not dyadic."""
+    rng = random.Random(23)
+    origins = [make_algebraic(X3M2, index=1), make_algebraic(GOLDEN, index=1)]
+    origins += [make_algebraic(C7, index=k) for k in (1, 2, 3)]
+    origins += [random_cubic_number(rng) for _ in range(4)]
+    origins.append(make_algebraic(C7, isolating=(Fraction(1, 3), Fraction(17, 7))))
+    tails = []
+    for x in origins[:6]:
+        e = expand(x, 60)
+        tails += [e.tail(n) for n in (1, 2, 5, 17, 40, 60)]
+    return origins + tails
+
+
+class TestIntegerBisectionMatchesFractions:
+    """refine and _bisect run on integer numerators over a shared
+    denominator; their endpoints must be the rationals that plain Fraction
+    bisection reaches."""
+
+    @pytest.mark.parametrize(
+        "width", [Fraction(1, 2), Fraction(1, 10**9), Fraction(1, 10**15), Fraction(5, 7**19), 1e-6]
+    )
+    def test_refine(self, width):
+        bound = Fraction(width)
+        for x in _bisection_inputs():
+            y = refine(x, width)
+            assert (y.lo, y.hi) == _reference_halving(x, lambda lo, hi, _: hi - lo <= bound)
+            assert type(y.lo) is Fraction and type(y.hi) is Fraction
+            assert y.poly == x.poly and y.irreducible == x.irreducible
+
+    @pytest.mark.parametrize("steps", [1, 4, 8, 33])
+    def test_bisect(self, steps):
+        for x in _bisection_inputs():
+            y = _bisect(x, steps)
+            assert (y.lo, y.hi) == _reference_halving(x, lambda lo, hi, n: n == steps)
+            assert y.poly.sign_at(y.lo) * y.poly.sign_at(y.hi) < 0
 
 
 class TestSign:

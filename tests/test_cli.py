@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
+import oracles
 from cubicf.cli import main, parse_poly, parse_rational, poly_to_string
 from cubicf.errors import PolyParseError, ZeroPolynomialError
 from cubicf.poly import IntPoly
@@ -220,6 +224,10 @@ class TestExpressCommand:
     def test_reducible_exit_4(self, capsys):
         assert main(["express", "--poly", "x^3-1", "0", "1", "0"]) == 4
 
+    def test_reducible_with_irrational_first_root_exit_4(self, capsys):
+        # (x - 1)(x^2 - 2): root 1 is -sqrt(2), so only the degree shows it
+        assert main(["express", "--poly", "x^3-x^2-2x+2", "0", "1", "0"]) == 4
+
 
 class TestStatsCommand:
     def test_two_classics(self, capsys):
@@ -315,3 +323,75 @@ class TestMiscFlags:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["a", "b", "c", "d", "det"]
         assert rows[1] == ["0", "2", "1", "0", "-2"]
+
+
+def _cli(argv, capsys):
+    start = time.perf_counter()
+    rc = main(argv)
+    return rc, capsys.readouterr().out, time.perf_counter() - start
+
+
+BIG = 10**39
+
+
+class TestLargeCoefficients:
+    """Input validation costs time polynomial in the coefficients' bit size."""
+
+    @pytest.mark.parametrize(
+        "text, coeffs",
+        [
+            ("x^3+2x+100000000000000000002", (100000000000000000002, 2, 0, 1)),
+            ("123456789012345678901234567891x^3+2x+2", (2, 2, 0, 123456789012345678901234567891)),
+            (f"x^3+2x+{4 * BIG + 2}", (4 * BIG + 2, 2, 0, 1)),
+            (f"{BIG + 9}x^3+2x+2", (2, 2, 0, BIG + 9)),
+            (f"{BIG + 9}x^3-{3 * BIG}x^2+2x+{4 * BIG + 2}", (4 * BIG + 2, 2, -3 * BIG, BIG + 9)),
+        ],
+    )
+    def test_expand_and_express(self, text, coeffs, capsys):
+        depth = 20
+        rc, out, seconds = _cli(["expand", "--poly", text, "--depth", str(depth), "--format", "csv"], capsys)
+        assert rc == 0 and seconds < 1.0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [int(r[1]) for r in rows[1:]] == oracles.cf_quotients(coeffs, 1, depth)
+
+        rc, out, seconds = _cli(["express", "--poly", text, "1", "2", "3", "--format", "json"], capsys)
+        assert rc == 0 and seconds < 1.0
+        rep = {k: int(v) for k, v in json.loads(out).items()}
+        with mp.workdps(120):
+            beta = oracles.real_roots(coeffs, dps=120)[0]
+            value = (rep["a"] * beta + rep["b"]) / (rep["c"] * beta + rep["d"])
+            elem = 1 + 2 * beta + 3 * beta**2
+            assert abs(value - elem) <= mpf(10) ** -60 * abs(elem)
+
+
+# sha256 prefixes of `verify --depth 12` and `stats --depth 30` output in every
+# format, recorded before refine and _bisect moved to integer bisection.
+PINNED_OUTPUT = {
+    ("x^3-2", 1): ("a792083191c85d14", "04feb8b371578a9c", "862b502313ae607e",
+                   "212bb34a84e61ec0", "fbb57fa5fbc4dd47", "45e8f134b1e6bf8c"),
+    ("x^3+x^2-2x-1", 3): ("3b59dd663a2c63be", "7aa3a499bfce94ff", "3b486c28795e31e6",
+                          "f2f35b0e86f211a6", "e7dac5de89ad6b9d", "4ec816670bbc2229"),
+    ("x^3-3x+1", 2): ("c46559aae846ed43", "1c281745c8befa8f", "027ceaa6d37ca718",
+                      "f8da269acc715bdc", "6d5ed3ee3a01f0e1", "82cb8240505a9fba"),
+    # seeded small cubics: conftest.random_irreducible_cubic(random.Random(2024), 9)
+    ("5x^3+9x^2-4x+6", 1): ("52857245377e3b04", "ddc364d65caceadc", "7c1381c5ec40242d",
+                            "4b6231fb3fc72237", "9873e1e90551c3e7", "e79644a299cd9fbc"),
+    ("4x^3+8x^2-x+4", 1): ("b510c1ffe3bc1f68", "dea7e203665e7131", "f1fc8f47b58c0b47",
+                           "4d80c73369245c25", "f0a4ad0a251e91f0", "bf506afa97cdbe08"),
+    ("4x^3+7x^2+4x+2", 1): ("535937841567a89c", "a92edca55179bee3", "446656e07fabf95c",
+                            "8fe9f5b44eaba9c4", "9aba1b0eec42603f", "6fda1131f9fcb4ca"),
+    ("2x^3+7x^2+x+8", 1): ("fcd5cbae35cb1d03", "4dd02a74bb828559", "37446f23f3344df4",
+                           "af01722ac1b15880", "f39727c3ec5e4bfb", "5a11863002b96e2e"),
+}
+
+
+@pytest.mark.parametrize("poly, root", sorted(PINNED_OUTPUT))
+def test_verify_and_stats_output_pinned(poly, root, capsys):
+    runs = [(cmd, depth, fmt) for cmd, depth in (("verify", "12"), ("stats", "30"))
+            for fmt in ("json", "csv", "text")]
+    digests = []
+    for cmd, depth, fmt in runs:
+        rc = main([cmd, "--poly", poly, "--root", str(root), "--depth", depth, "--format", fmt])
+        assert rc == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert tuple(digests) == PINNED_OUTPUT[(poly, root)]

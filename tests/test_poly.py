@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cubicf.poly import (
     divide_out_rational_root,
     eval_at_rational,
     is_squarefree,
+    isolate_real_roots,
     moebius_transform,
     qq_gcd,
     rational_roots,
@@ -242,6 +244,126 @@ class TestRationalRoots:
         f = IntPoly((-3, 2)) * X3M2
         assert rational_roots(f) == [Fraction(3, 2)]
         assert divide_out_rational_root(f, Fraction(3, 2)) == X3M2
+        assert divide_out_rational_root(f * 4, Fraction(3, 2)) == X3M2
+        with pytest.raises(ValueError):
+            divide_out_rational_root(f, Fraction(1, 2))
+
+
+def _divisors_reference(n: int) -> list[int]:
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _rational_roots_reference(f: IntPoly) -> list[Fraction]:
+    """Divisor test: a root p/q in lowest terms of a polynomial with x^j
+    stripped has p | c0 and q | lc."""
+    cs = f.coeffs
+    roots = set()
+    if cs[0] == 0:
+        roots.add(Fraction(0))
+        while cs[0] == 0:
+            cs = cs[1:]
+    g = IntPoly(cs)
+    if g.degree() >= 1:
+        for p in _divisors_reference(cs[0]):
+            for q in _divisors_reference(cs[-1]):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if g.sign_at(cand) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _planted(rng: random.Random) -> tuple[IntPoly, list[Fraction]]:
+    """content * (product of planted q·x - p factors, some repeated) * cofactor,
+    degree 1-5; returns the polynomial and the planted roots."""
+    degree = rng.randint(1, 5)
+    factors: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, degree)):
+        if factors and rng.random() < 0.3:
+            factors.append(rng.choice(factors))  # a repeated rational root
+        else:
+            factors.append((rng.randint(-6, 6), rng.randint(1, 4)))  # p = 0 plants a root at 0
+    rest = degree - len(factors)
+    cof = IntPoly(tuple(rng.randint(-7, 7) for _ in range(rest)) + (rng.choice((-3, -1, 1, 2, 5)),))
+    f = cof * rng.choice((1, 1, 2, -3, 6))  # non-primitive inputs too
+    for p, q in factors:
+        f = f * IntPoly((-p, q))
+    return f, sorted({Fraction(p, q) for p, q in factors})
+
+
+def _halving_midpoints(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
+    """The midpoints plain Fraction bisection visits while narrowing (lo, hi)."""
+    s_lo = f.sign_at(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        yield mid
+        s = f.sign_at(mid)
+        if s == 0:
+            return
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestRationalRootsAgainstDivisors:
+    def test_seeded_random_polynomials(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            coeffs = [rng.randint(-40, 40) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 40)]
+            f = IntPoly(tuple(coeffs))
+            assert rational_roots(f) == _rational_roots_reference(f), f
+
+    def test_planted_factors(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            f, planted = _planted(rng)
+            got = rational_roots(f)
+            assert got == _rational_roots_reference(f), f
+            assert set(planted) <= set(got), f
+
+    def test_repeated_roots(self):
+        f = IntPoly((-2, 3)) * IntPoly((-2, 3)) * IntPoly((1, 1)) * IntPoly((1, 1)) * IntPoly((1, 1))
+        assert rational_roots(f) == [Fraction(-1), Fraction(2, 3)]
+        assert rational_roots(X3M2 * X3M2 * IntPoly((-5, 7))) == [Fraction(5, 7)]
+
+    def test_root_at_zero(self):
+        assert rational_roots(IntPoly((0, 1))) == [Fraction(0)]
+        assert rational_roots(IntPoly((0, 0, -2, 0, 1))) == [Fraction(0)]
+        assert rational_roots(IntPoly((0, -3, 2)) * IntPoly((1, 0, 1))) == [Fraction(0), Fraction(3, 2)]
+
+    def test_non_primitive(self):
+        assert rational_roots(X3M2 * 6) == []
+        assert rational_roots(IntPoly((-3, 2)) * -10) == [Fraction(3, 2)]
+        assert rational_roots(IntPoly((4, 0, -2, 12))) == _rational_roots_reference(IntPoly((4, 0, -2, 12)))
+
+    @pytest.mark.parametrize(
+        "f, root",
+        [
+            (IntPoly((-3, 2)), Fraction(3, 2)),
+            (IntPoly((-3, 2)) * IntPoly((1, 0, 1)), Fraction(3, 2)),
+            (IntPoly((0, 1)) * IntPoly((2, 0, 1)), Fraction(0)),
+            (IntPoly((-3, 8)) * IntPoly((1, 0, 1)), Fraction(3, 8)),
+        ],
+    )
+    def test_root_on_a_bisection_midpoint(self, f, root):
+        # the only real root lies on a midpoint of the bisection that
+        # narrows its isolating interval to width 1/(2·lc)
+        (lo, hi), = isolate_real_roots(f)
+        assert root in _halving_midpoints(f, lo, hi, Fraction(1, 2 * f.lc))
+        assert rational_roots(f) == [root]
+
+    def test_large_coefficients_are_fast(self):
+        big = 10**40
+        for f, expected in (
+            (IntPoly((big + 2, 2, 0, 1)), []),
+            (IntPoly((2, 2, 0, big + 1)), []),
+            (IntPoly((-(big + 7), big + 3)), [Fraction(big + 7, big + 3)]),
+            (IntPoly((-(3**80), 0, 0, 2**90)) * IntPoly((-(5**40), 7**40)), [Fraction(5**40, 7**40)]),
+        ):
+            start = time.perf_counter()
+            assert rational_roots(f) == expected
+            assert time.perf_counter() - start < 1.0
 
 
 class TestHelpers:
