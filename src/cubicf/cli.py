@@ -445,7 +445,6 @@ def cmd_stats(args) -> int:
     numbers = [(ptext, make_algebraic(parse_poly(ptext), index=k)) for ptext, k in zip(polys, roots)]
     expansions = [expand(x, cfg.depth) for _, x in numbers]
     profiles = [boundedness_profile(e) for e in expansions]
-    lambdas = [lambda_estimate(e) for e in expansions]
 
     match = None
     transfer = None
@@ -455,6 +454,9 @@ def cmd_stats(args) -> int:
             transfer = lambda_transfer_check(
                 expansions[0], expansions[1], _parse_relate(args.relate)
             )
+    # the transfer check estimated the first two lambdas at lambda_estimate's precision
+    known = [transfer.lambda_first, transfer.lambda_second] if transfer is not None else []
+    lambdas = known + [lambda_estimate(e) for e in expansions[len(known):]]
 
     if cfg.fmt == "json":
         doc = {
@@ -578,9 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None  # built on the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (PolyParseError, ZeroPolynomialError) as exc:

@@ -21,7 +21,7 @@ from . import intervals as iv
 from .algnum import AlgebraicNumber, _bisect, isolate_real_roots, refine, same_root, sign_at
 from .cf import Expansion, lambda_estimate
 from .errors import CubicRequiredError, EngineInvariantError
-from .poly import IntPoly, discriminant, sturm_count
+from .poly import IntPoly, _halvings, discriminant, sturm_count
 
 
 def _require_cubic(x: AlgebraicNumber) -> None:
@@ -84,6 +84,11 @@ def conjugates(x: AlgebraicNumber, precision: Fraction = Fraction(1, 10**15)) ->
     cur = x
     while cur.lo <= 0 <= cur.hi:  # the root is nonzero; exclude 0 before dividing
         cur = _bisect(cur)
+    # width(re) = width(t)/2, so no rung passes while width(t) > 2*precision:
+    # start at the first rung that can (NOTES.md, first passable rung)
+    rungs = -(-_halvings((cur.hi - cur.lo) / (2 * precision)) // 8)
+    cur = _bisect(cur, steps=8 * rungs)
+    bits += 4 * rungs
     while True:
         t = cur.interval
         trace = iv.sub((Fraction(-c2, c3), Fraction(-c2, c3)), t)
@@ -212,11 +217,14 @@ def limit_sequence(e: Expansion, rel_precision: Fraction = Fraction(1, 10**6)) -
     """Per-step certified enclosures of q_n^2 times the conjugate
     separation of the tail, with the limit constant alongside."""
     _require_cubic(e.origin)
-    target = beta_constant(e.origin, rel_precision / 4)
+    return _limit_records(e, rel_precision, beta_constant(e.origin, rel_precision / 4))
+
+
+def _limit_records(e: Expansion, rel_precision: Fraction, beta: iv.Interval) -> list[LimitRecord]:
     out = []
     for step in e.steps:
         sep = separation(e.tail(step.n), rel_precision)
-        out.append(LimitRecord(n=step.n, value=iv.scale(sep, step.q**2), target=target))
+        out.append(LimitRecord(n=step.n, value=iv.scale(sep, step.q**2), target=beta))
     return out
 
 
@@ -231,10 +239,12 @@ class AsymRecord:
 def asym_target(x: AlgebraicNumber, precision: Fraction = Fraction(1, 10**9)) -> iv.Interval:
     """|D|^(1/4) / beta^(1/2) = sqrt(sqrt|D| / beta) as an enclosure."""
     _require_cubic(x)
-    d_abs = abs(discriminant(x.poly))
+    return _asym_target(x, precision, beta_constant(x, precision / 4))
+
+
+def _asym_target(x: AlgebraicNumber, precision: Fraction, beta: iv.Interval) -> iv.Interval:
     bits = _bits_for(precision)
-    beta = beta_constant(x, precision / 4)
-    inner = iv.div(iv.sqrt_bounds(Fraction(d_abs), bits), beta)
+    inner = iv.div(iv.sqrt_bounds(Fraction(abs(discriminant(x.poly))), bits), beta)
     return iv.sqrt_interval(inner, bits)
 
 
@@ -246,7 +256,10 @@ def asym_sequence(e: Expansion, rel_precision: Fraction = Fraction(1, 10**6)) ->
     they differ at finite n and only the limits agree.
     """
     _require_cubic(e.origin)
-    target = asym_target(e.origin, rel_precision)
+    return _asym_records(e, rel_precision, asym_target(e.origin, rel_precision))
+
+
+def _asym_records(e: Expansion, rel_precision: Fraction, target: iv.Interval) -> list[AsymRecord]:
     disc_negative = discriminant(e.origin.poly) < 0
     out = []
     for step in e.steps:
@@ -394,6 +407,7 @@ def verification_report(
     flags = reduced_flags(e)
     # once reduced, stays reduced: no True -> False transition
     monotone = not any(flags[k] and not flags[k + 1] for k in range(len(flags) - 1))
+    beta = beta_constant(e.origin, rel_precision / 4)  # one beta for the limit and asym targets
     sqrt_d = iv.sqrt_bounds(Fraction(abs(d0)), 96)
     product_ok = all(
         iv.overlaps(disc_product_enclosure(e.tail(s.n), abs(s.c_signed), Fraction(1, 10**6)), sqrt_d)
@@ -408,8 +422,8 @@ def verification_report(
         reduced=tuple(flags),
         onset=_onset(flags),
         monotone_reduced=monotone,
-        limit=tuple(limit_sequence(e, rel_precision)),
-        asym=tuple(asym_sequence(e, rel_precision)),
+        limit=tuple(_limit_records(e, rel_precision, beta)),
+        asym=tuple(_asym_records(e, rel_precision, _asym_target(e.origin, rel_precision, beta))),
         pisot=tuple(_pisot_records(e, flags)),
         lambda_enclosure=lambda_estimate(e) if e.depth >= 5 else None,
         disc_product_ok=product_ok,

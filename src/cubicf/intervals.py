@@ -54,8 +54,28 @@ def neg(a: Interval) -> Interval:
 
 
 def mul(a: Interval, b: Interval) -> Interval:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
+    """Product interval.  The endpoint signs pick the two products that
+    bound it (Moore's nine cases); all four are formed only when both
+    operands straddle 0."""
+    a0, a1 = a
+    b0, b1 = b
+    if a0 >= 0:
+        if b0 >= 0:
+            return (a0 * b0, a1 * b1)
+        if b1 <= 0:
+            return (a1 * b0, a0 * b1)
+        return (a1 * b0, a1 * b1)
+    if a1 <= 0:
+        if b0 >= 0:
+            return (a0 * b1, a1 * b0)
+        if b1 <= 0:
+            return (a1 * b1, a0 * b0)
+        return (a0 * b1, a0 * b0)
+    if b0 >= 0:
+        return (a0 * b1, a1 * b1)
+    if b1 <= 0:
+        return (a1 * b0, a0 * b0)
+    return (min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1))
 
 
 def scale(a: Interval, k) -> Interval:
@@ -91,7 +111,8 @@ def poly_eval(coeffs: Sequence[int], iv: Interval) -> Interval:
     """Enclosure of a polynomial (constant term first) over an interval."""
     acc: Interval = (Fraction(0), Fraction(0))
     for c in reversed(coeffs):
-        acc = add(mul(acc, iv), (Fraction(c), Fraction(c)))
+        lo, hi = mul(acc, iv)
+        acc = (lo + c, hi + c)
     return acc
 
 

@@ -336,7 +336,7 @@ def qq_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 def is_squarefree(f: IntPoly) -> bool:
     if f.degree() <= 1:
         return not f.is_zero()
-    return qq_gcd(f, f.derivative()).degree() == 0
+    return sturm_chain(f)[-1].degree() == 0  # a constant multiple of gcd(f, f')
 
 
 @functools.lru_cache(maxsize=512)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import oracles
+from cubicf.cf import default_checkpoints
 from cubicf.cli import main, parse_poly, parse_rational, poly_to_string
 from cubicf.errors import PolyParseError, ZeroPolynomialError
 from cubicf.poly import IntPoly
@@ -295,6 +296,27 @@ class TestStatsCommand:
             main(["stats", "--poly", "x^3-2", "--precision", "1e-20"])
         assert exc.value.code == 2
 
+    def test_relate_estimates_each_lambda_once(self, capsys, monkeypatch):
+        import cubicf.cli as cli
+        import cubicf.field as field
+
+        calls = {"cli": 0, "field": 0}
+        for name, module in (("cli", cli), ("field", field)):
+            real = module.lambda_estimate
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "lambda_estimate", counted)
+        rc = main(["stats", "--poly", "x^3-2", "--poly", "x^3-4", "--poly", "x^3-3",
+                   "--relate", "0,2,1,0", "--depth", "20", "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == {"cli": 1, "field": 2}  # the transfer check's two, then the third input's
+        assert doc["inputs"][0]["lambda"] == doc["lambda_transfer"]["lambda_first"]
+        assert doc["inputs"][1]["lambda"] == doc["lambda_transfer"]["lambda_second"]
+
     def test_text_mode(self, capsys):
         rc = main(["stats", "--poly", "x^2-x-1", "--root", "2", "--depth", "20"])
         assert rc == 0
@@ -323,6 +345,47 @@ class TestMiscFlags:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["a", "b", "c", "d", "det"]
         assert rows[1] == ["0", "2", "1", "0", "-2"]
+
+
+class TestSuccessiveMainCalls:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import cubicf.cli as cli
+
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(3):
+            assert main(["expand", "--poly", "x^3-2", "--depth", "5"]) == 0
+        assert len(built) == 1
+
+    def test_stats_inputs_do_not_leak(self, capsys):
+        two = ["stats", "--poly", "x^3-2", "--poly", "x^3-4", "--depth", "12", "--format", "json"]
+        assert main(two) == 0
+        assert len(json.loads(capsys.readouterr().out)["inputs"]) == 2
+        assert main(["stats", "--poly", "x^3-3", "--depth", "12", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [d["poly"] for d in doc["inputs"]] == ["x^3-3"]
+        assert "tails_match" not in doc
+
+    def test_verify_after_expand(self, capsys):
+        assert main(["expand", "--poly", "x^3-2", "--depth", "8", "--crosscheck-every", "2",
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--poly", "x^3+x^2-2x-1", "--root", "3", "--depth", "8",
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert captured.err == ""
+        assert doc["origin"]["poly"] == ["-1", "-2", "1", "1"]
+        # the expand's --crosscheck-every 2 must not carry over
+        assert doc["reports"]["crosscheck_steps"] == sorted(default_checkpoints(8) & set(range(1, 9)))
+        assert doc["reports"]["exact_ok"] is True
 
 
 def _cli(argv, capsys):
@@ -383,6 +446,29 @@ PINNED_OUTPUT = {
     ("2x^3+7x^2+x+8", 1): ("fcd5cbae35cb1d03", "4dd02a74bb828559", "37446f23f3344df4",
                            "af01722ac1b15880", "f39727c3ec5e4bfb", "5a11863002b96e2e"),
 }
+
+
+# sha256 prefixes of json, csv and text output, recorded before verify shared one
+# beta per report, started the conjugate boxes at their first passable rung and
+# chose interval products by endpoint signs; the first input is a medium
+# Eisenstein cubic (at 5) with a 9-digit constant term
+PINNED_RUNS = {
+    ("verify", "--poly", "69x^3+371038905x^2-165727185x+290609105", "--root", "1", "--depth", "8"):
+        ("b74dfdc344ebcb90", "587c1aa78b98b318", "1130e5a651e8f941"),
+    ("verify", "--poly", "x^3-2", "--root", "1", "--depth", "12", "--precision", "1e-20"):
+        ("1abdd93333393e97", "8c8c07da66ea5e10", "862b502313ae607e"),
+    ("stats", "--poly", "x^3-2", "--poly", "x^3-4", "--relate", "0,2,1,0", "--depth", "30"):
+        ("4d847b7f56e1961d", "6f2859479a023049", "ef89224999878cc4"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_RUNS))
+def test_more_output_pinned(argv, capsys):
+    digests = []
+    for fmt in ("json", "csv", "text"):
+        assert main([*argv, "--format", fmt]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert tuple(digests) == PINNED_RUNS[argv]
 
 
 @pytest.mark.parametrize("poly, root", sorted(PINNED_OUTPUT))

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import random_cubic_number
 from cubicf import intervals as iv
-from cubicf.algnum import make_algebraic, refine, sign_at
+from cubicf.algnum import _bisect, make_algebraic, refine, sign_at
 from cubicf.cf import expand
 from cubicf.conjugates import (
     asym_sequence,
@@ -68,6 +68,39 @@ class TestConjugates:
                 assert pair.kind == "two-real"
             else:
                 assert pair.kind == "complex-pair"
+
+    def test_complex_boxes_match_rung_by_rung_reference(self, cbrt2):
+        # the first-passable-rung jump must land on the boxes that trying
+        # every rung of 8 halvings from the zero-free start reaches
+        e = expand(cbrt2, 25)
+        rng = random.Random(77)
+        numbers = [cbrt2, e.tail(1), e.tail(12), e.tail(25)]
+        while len(numbers) < 12:
+            x = random_cubic_number(rng, 50)
+            if discriminant(x.poly) < 0:
+                numbers.append(x)
+        precisions = (Fraction(1, 2), Fraction(1, 10**6), Fraction(3, 7**20), Fraction(1, 10**30))
+        for x in numbers:
+            for precision in precisions:
+                pair = conjugates(x, precision)
+                assert (pair.first.re, pair.first.im) == _complex_box_reference(x, precision)
+
+
+def _complex_box_reference(x, precision):
+    c0, _, c2, c3 = x.poly.coeffs
+    bits = max(8, (precision.denominator // max(precision.numerator, 1)).bit_length() + 4)
+    cur = x
+    while cur.lo <= 0 <= cur.hi:
+        cur = _bisect(cur)
+    while True:
+        t = cur.interval
+        re = iv.scale(iv.sub((Fraction(-c2, c3),) * 2, t), Fraction(1, 2))
+        im_sq = iv.sub(iv.div((Fraction(-c0, c3),) * 2, t), iv.mul(re, re))
+        im = iv.sqrt_interval(im_sq, bits)
+        if iv.width(re) <= precision and iv.width(im) <= precision:
+            return re, im
+        cur = _bisect(cur, steps=8)
+        bits += 4
 
 
 class TestReduced:
@@ -321,3 +354,46 @@ class TestWorkCounts:
         assert rep.exact_ok
         assert calls["is_reduced"] == e.depth + 1  # one verdict per alpha_1 .. alpha_41
         assert calls["conjugates"] <= 120  # about one per step, not one per restart
+
+    @pytest.mark.parametrize("fixture", ["cbrt2", "cos27_largest"])
+    def test_report_computes_beta_once(self, fixture, request, monkeypatch):
+        mod = importlib.import_module("cubicf.conjugates")
+        calls = []
+        real = mod.beta_constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "beta_constant", counted)
+        e = expand(request.getfixturevalue(fixture), 12)
+        rep = mod.verification_report(e, Fraction(1, 10**6))
+        assert rep.exact_ok
+        assert len(calls) == 1  # the limit target and the asym target share it
+        assert rep.limit[0].target == beta_constant(e.origin, Fraction(1, 4 * 10**6))
+        assert rep.asym[0].target == asym_target(e.origin, Fraction(1, 10**6))
+
+    def test_complex_boxes_skip_rungs_that_cannot_pass(self, cbrt2, monkeypatch):
+        mod = importlib.import_module("cubicf.conjugates")
+        state = {"inside": 0, "calls": 0, "roots": 0}
+        real_conjugates, real_sqrt = mod.conjugates, iv.sqrt_interval
+
+        def counted_conjugates(*args, **kwargs):
+            state["calls"] += 1
+            state["inside"] += 1
+            try:
+                return real_conjugates(*args, **kwargs)
+            finally:
+                state["inside"] -= 1
+
+        def counted_sqrt(*args, **kwargs):
+            state["roots"] += state["inside"] > 0
+            return real_sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "conjugates", counted_conjugates)
+        monkeypatch.setattr(iv, "sqrt_interval", counted_sqrt)
+        e = expand(cbrt2, 40)
+        rep = mod.verification_report(e, Fraction(1, 10**6))
+        assert rep.exact_ok
+        assert state["calls"] > 0  # D < 0: every call takes the complex branch
+        assert state["roots"] <= 9 * state["calls"]  # 18 per call when every rung is tried

@@ -36,6 +36,49 @@ def test_poly_eval_encloses_pointwise(a, x, coeffs):
     assert iv.contains(iv.poly_eval(coeffs, a), truth)
 
 
+def four_product_mul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(products), max(products))
+
+
+def fraction_horner(coeffs, a):
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        lo, hi = four_product_mul(acc, a)
+        acc = (lo + Fraction(c), hi + Fraction(c))
+    return acc
+
+
+# zero, degenerate, both-negative, both-positive and straddling intervals
+edge_intervals = st.sampled_from(
+    [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(3, 2)), (Fraction(-5, 3), Fraction(-5, 3)),
+     (Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)), (Fraction(-7, 2), Fraction(-1, 3)),
+     (Fraction(1, 4), Fraction(9)), (Fraction(-3), Fraction(5, 2)), (Fraction(-1, 9), Fraction(1, 7))]
+)
+any_interval = st.one_of(intervals(), edge_intervals)
+
+
+@given(a=any_interval, b=any_interval)
+@settings(max_examples=300, deadline=None)
+def test_mul_equals_four_product_reference(a, b):
+    assert iv.mul(a, b) == four_product_mul(a, b)
+
+
+def test_mul_covers_all_nine_sign_cases():
+    signs = [(Fraction(1), Fraction(2)), (Fraction(-2), Fraction(-1)), (Fraction(-1), Fraction(3))]
+    for a in signs:
+        for b in signs:
+            assert iv.mul(a, b) == four_product_mul(a, b)
+
+
+@given(a=any_interval, coeffs=st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_poly_eval_equals_fraction_horner(a, coeffs):
+    got = iv.poly_eval(coeffs, a)
+    assert got == fraction_horner(coeffs, a)
+    assert all(type(end) is Fraction for end in got)
+
+
 @given(r=st.fractions(min_value=0, max_value=10**6, max_denominator=1000), bits=st.integers(4, 40))
 @settings(max_examples=100, deadline=None)
 def test_sqrt_bounds_bracket(r, bits):

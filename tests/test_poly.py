@@ -366,6 +366,47 @@ class TestRationalRootsAgainstDivisors:
             assert time.perf_counter() - start < 1.0
 
 
+def _squarefree_reference(f: IntPoly) -> bool:
+    if f.degree() <= 1:
+        return not f.is_zero()
+    return qq_gcd(f, f.derivative()).degree() == 0
+
+
+class TestSquarefreeAgainstGcd:
+    """is_squarefree reads the last Sturm-chain element against a qq_gcd reference."""
+
+    def test_seeded_random_polynomials(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            coeffs = [rng.randint(-12, 12) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 12)]
+            f = IntPoly(tuple(coeffs)) * rng.choice((1, 1, 4, -6))
+            assert is_squarefree(f) == _squarefree_reference(f), f
+
+    def test_repeated_factors(self):
+        rng = random.Random(9)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            f, _ = _planted(rng)
+            if rng.random() < 0.5:  # square an irrational factor too
+                f = f * X3M2 * X3M2 if rng.random() < 0.5 else f * IntPoly((-2, 0, 1)) * IntPoly((-2, 0, 1))
+            expected = _squarefree_reference(f)
+            assert is_squarefree(f) == expected, f
+            seen[expected] += 1
+        assert min(seen.values()) > 50
+
+    def test_non_primitive(self):
+        assert is_squarefree(X3M2 * 6)
+        assert is_squarefree(C7 * -10)
+        assert not is_squarefree(IntPoly((-1, 1)) * IntPoly((-1, 1)) * 12)
+        assert not is_squarefree(IntPoly((4, 0, -2)) * IntPoly((-2, 0, 1)))
+
+    def test_low_degree(self):
+        assert not is_squarefree(IntPoly(()))
+        assert is_squarefree(IntPoly((5,)))
+        assert is_squarefree(IntPoly((-3, 2)))
+        assert is_squarefree(IntPoly((0, -4)))
+
+
 class TestHelpers:
     def test_rem_mod_zero_for_multiple(self):
         assert rem_mod(X3M2 * IntPoly((1, 5, 2)), X3M2).is_zero()
